@@ -880,40 +880,15 @@ func (db *DB) scan(p *sim.Proc, coord *Replica, start kv.Key, limit int) []stora
 			f.Set(part)
 		})
 	}
-	// Merge all parts in key order, deduplicating replicated rows.
-	merged := make(map[kv.Key]*storage.Row)
+	// Await the parts in launch order; MergeScans folds replicated rows in
+	// that order, the first part's row as the base.
+	parts := make([][]storage.ScanRow, 0, len(futs))
 	for _, f := range futs {
-		part := f.Await(p)
-		if !part.ok {
-			continue
-		}
-		for _, r := range part.rows {
-			if have, ok := merged[r.Key]; ok {
-				have.MergeFrom(r.Row)
-			} else {
-				merged[r.Key] = r.Row
-			}
+		if part := f.Await(p); part.ok {
+			parts = append(parts, part.rows)
 		}
 	}
-	keys := make([]kv.Key, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	out := make([]storage.ScanRow, 0, limit)
-	for _, k := range keys {
-		if row := merged[k]; row.Live() {
-			out = append(out, storage.ScanRow{Key: k, Row: row})
-			if len(out) == limit {
-				break
-			}
-		}
-	}
-	return out
-}
-
-func sortKeys(keys []kv.Key) {
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return storage.MergeScans(parts, limit)
 }
 
 // noteHint records a hint and ensures the replay process is running. The

@@ -101,7 +101,7 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 	}
 	var rec kv.Record
 	if row != nil && row.Live() {
-		rec = row.Record().Project(fields)
+		rec = row.Project(fields)
 	}
 	if !coord.Node.SendTo(p, c.node, rec.Bytes()+c.db.cfg.RequestOverhead) {
 		return nil, kv.ErrUnavailable
@@ -164,7 +164,7 @@ func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]
 	respSize := c.db.cfg.RequestOverhead
 	out := make([]kv.KV, 0, len(rows))
 	for _, r := range rows {
-		rec := r.Row.Record().Project(fields)
+		rec := r.Row.Project(fields)
 		out = append(out, kv.KV{Key: r.Key, Record: rec})
 		respSize += rec.Bytes()
 	}

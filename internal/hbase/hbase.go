@@ -413,7 +413,7 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 		c.db.tracer.Phase(p, trace.PhaseStorage, r.Server.Node.ID, t0)
 	}
 	if row != nil && row.Live() {
-		rec = row.Record().Project(fields)
+		rec = row.Project(fields)
 	}
 	if c.db.oracle != nil {
 		var ver kv.Version
@@ -499,7 +499,7 @@ func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]
 			if r.EndKey != "" && row.Key >= r.EndKey {
 				break
 			}
-			out = append(out, kv.KV{Key: row.Key, Record: row.Row.Record().Project(fields)})
+			out = append(out, kv.KV{Key: row.Key, Record: row.Row.Project(fields)})
 			if len(out) == limit {
 				return out, nil
 			}

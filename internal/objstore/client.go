@@ -182,7 +182,7 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 	if row == nil || !row.Live() {
 		return nil, kv.ErrNotFound
 	}
-	return row.Record().Project(fields), nil
+	return row.Project(fields), nil
 }
 
 // Insert implements kv.Client.
@@ -289,33 +289,16 @@ func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]
 			f.Set(part)
 		})
 	}
-	merged := make(map[kv.Key]*storage.Row)
+	parts := make([][]storage.ScanRow, 0, len(futs))
 	for _, f := range futs {
-		part := f.Await(p)
-		if !part.ok {
-			continue
-		}
-		for _, r := range part.rows {
-			if have, ok := merged[r.Key]; ok {
-				have.MergeFrom(r.Row)
-			} else {
-				merged[r.Key] = r.Row
-			}
+		if part := f.Await(p); part.ok {
+			parts = append(parts, part.rows)
 		}
 	}
-	keys := make([]kv.Key, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]kv.KV, 0, limit)
-	for _, k := range keys {
-		if row := merged[k]; row.Live() {
-			out = append(out, kv.KV{Key: k, Record: row.Record().Project(fields)})
-			if len(out) == limit {
-				break
-			}
-		}
+	rows := storage.MergeScans(parts, limit)
+	out := make([]kv.KV, 0, len(rows))
+	for _, r := range rows {
+		out = append(out, kv.KV{Key: r.Key, Record: r.Row.Project(fields)})
 	}
 	return out, nil
 }

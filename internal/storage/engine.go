@@ -159,7 +159,6 @@ func (e *Engine) Get(p *sim.Proc, key kv.Key) *Row {
 	return out
 }
 
-// ScanRow is one result of Engine.Scan.
 // rowIter is a merge cursor over one level (memtable, immutable memtable,
 // or SSTable). Using the iterators' method sets directly — instead of a
 // struct of captured method values — keeps Scan free of per-source closure
@@ -172,13 +171,16 @@ type rowIter interface {
 	Next()
 }
 
+// ScanRow is one result of Engine.Scan.
 type ScanRow struct {
 	Key kv.Key
 	Row *Row
 }
 
 // Scan returns up to limit live rows with key ≥ start, in key order,
-// reconciled across all levels. I/O is charged per block entered.
+// reconciled across all levels. I/O is charged per block entered. The
+// caller owns the returned rows: each is a fresh merge, never a row the
+// memtable or an SSTable still holds, so MergeScans may fold into them.
 func (e *Engine) Scan(p *sim.Proc, start kv.Key, limit int) []ScanRow {
 	e.Scans++
 	var srcs []rowIter
@@ -215,6 +217,45 @@ func (e *Engine) Scan(p *sim.Proc, start kv.Key, limit int) []ScanRow {
 		}
 	}
 	return out
+}
+
+// MergeScans merges per-replica Scan results into up to limit live rows in
+// key order. Each part must be key-sorted with unique keys, as Scan returns
+// them. Rows sharing a key are folded in part order with the first part's
+// row as the base, so under MergeFrom's strict newest-wins rule the earliest
+// part keeps an equal-version cell. The fold mutates those base rows, which
+// is why parts must be caller-owned.
+func MergeScans(parts [][]ScanRow, limit int) []ScanRow {
+	pos := make([]int, len(parts))
+	out := make([]ScanRow, 0, limit)
+	for {
+		// The first part holding the smallest current key is the base;
+		// no earlier part can hold that key.
+		base := -1
+		var key kv.Key
+		for i, part := range parts {
+			if pos[i] < len(part) && (base < 0 || part[pos[i]].Key < key) {
+				base, key = i, part[pos[i]].Key
+			}
+		}
+		if base < 0 {
+			return out
+		}
+		row := parts[base][pos[base]].Row
+		pos[base]++
+		for i := base + 1; i < len(parts); i++ {
+			if pos[i] < len(parts[i]) && parts[i][pos[i]].Key == key {
+				row.MergeFrom(parts[i][pos[i]].Row)
+				pos[i]++
+			}
+		}
+		if row.Live() {
+			out = append(out, ScanRow{Key: key, Row: row})
+			if len(out) == limit {
+				return out
+			}
+		}
+	}
 }
 
 // maybeFlush rotates a full memtable into the flushing list and starts a

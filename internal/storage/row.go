@@ -10,6 +10,9 @@
 package storage
 
 import (
+	"slices"
+	"strings"
+
 	"cloudbench/internal/kv"
 )
 
@@ -19,25 +22,76 @@ type Cell struct {
 	Ver kv.Version
 }
 
+// fieldCell is one named cell of a Row.
+type fieldCell struct {
+	Field string
+	Cell
+}
+
 // Row is the storage representation of a record: per-cell versions enable
 // last-write-wins reconciliation of partial updates, and a tombstone
 // version shadows older cells after a delete.
+//
+// Cells are kept in a slice sorted by field name with unique fields. YCSB
+// rows all carry the same field list, so merging two rows is usually one
+// index-aligned pass with no allocation, and every walk over the cells
+// visits them in a fixed order.
 type Row struct {
-	Cells map[string]Cell
-	Tomb  kv.Version // delete timestamp; cells with Ver <= Tomb are dead
+	cells []fieldCell // sorted by Field, unique
+	Tomb  kv.Version  // delete timestamp; cells with Ver <= Tomb are dead
 }
 
 // NewRow returns an empty row.
-func NewRow() *Row { return &Row{Cells: make(map[string]Cell)} }
+func NewRow() *Row { return &Row{} }
+
+// find returns the index of field in r.cells, or the index it would be
+// inserted at and false.
+func (r *Row) find(field string) (int, bool) {
+	lo, hi := 0, len(r.cells)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if r.cells[m].Field < field {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(r.cells) && r.cells[lo].Field == field
+}
+
+// Cell returns the cell stored for field, live or not.
+func (r *Row) Cell(field string) (Cell, bool) {
+	if i, ok := r.find(field); ok {
+		return r.cells[i].Cell, true
+	}
+	return Cell{}, false
+}
+
+func byField(a, b fieldCell) int { return strings.Compare(a.Field, b.Field) }
 
 // Apply merges a write of rec at version ver into the row, keeping the
 // newest version of each cell.
 func (r *Row) Apply(rec kv.Record, ver kv.Version) {
-	for f, v := range rec {
-		if c, ok := r.Cells[f]; !ok || ver > c.Ver {
-			r.Cells[f] = Cell{Val: v, Ver: ver}
-		}
+	if len(rec) == 0 {
+		return
 	}
+	if len(r.cells) == 0 {
+		// A fresh row takes the record's cells directly, sized once.
+		cells := make([]fieldCell, 0, len(rec))
+		for f, v := range rec {
+			cells = append(cells, fieldCell{Field: f, Cell: Cell{Val: v, Ver: ver}})
+		}
+		slices.SortFunc(cells, byField)
+		r.cells = cells
+		return
+	}
+	var buf [16]fieldCell // YCSB's ten-field writes sort on the stack
+	w := buf[:0]
+	for f, v := range rec {
+		w = append(w, fieldCell{Field: f, Cell: Cell{Val: v, Ver: ver}})
+	}
+	slices.SortFunc(w, byField)
+	r.merge(w)
 }
 
 // Delete applies a tombstone at version ver.
@@ -48,8 +102,9 @@ func (r *Row) Delete(ver kv.Version) {
 }
 
 // MergeFrom folds another row's cells and tombstone into r (cell-wise
-// newest wins). It is the reconciliation step used when reading across
-// memtable and SSTables, and between replicas.
+// newest wins, r's cell kept on a version tie). It is the reconciliation
+// step used when reading across memtable and SSTables, and between
+// replicas. r never shares cell storage with o afterwards.
 func (r *Row) MergeFrom(o *Row) {
 	if o == nil {
 		return
@@ -57,41 +112,104 @@ func (r *Row) MergeFrom(o *Row) {
 	if o.Tomb > r.Tomb {
 		r.Tomb = o.Tomb
 	}
-	for f, c := range o.Cells {
-		if mine, ok := r.Cells[f]; !ok || c.Ver > mine.Ver {
-			r.Cells[f] = c
+	r.merge(o.cells)
+}
+
+// merge folds src (sorted by field, unique) into r.cells. The first pass
+// updates the fields both sides share in place and counts the fields
+// missing from r; when the field sets match — the common case — that
+// index-aligned pass is the whole merge. Otherwise a sorted merge builds
+// the union in a fresh slice.
+func (r *Row) merge(src []fieldCell) {
+	dst := r.cells
+	missing, i := 0, 0
+	for j := range src {
+		f := src[j].Field
+		for i < len(dst) && dst[i].Field < f {
+			i++
 		}
+		if i < len(dst) && dst[i].Field == f {
+			if src[j].Ver > dst[i].Ver {
+				dst[i].Cell = src[j].Cell
+			}
+			i++
+			continue
+		}
+		missing++
 	}
+	if missing == 0 {
+		return
+	}
+	out := make([]fieldCell, 0, len(dst)+missing)
+	i = 0
+	for j := range src {
+		f := src[j].Field
+		for i < len(dst) && dst[i].Field < f {
+			out = append(out, dst[i])
+			i++
+		}
+		if i < len(dst) && dst[i].Field == f {
+			continue // folded in the first pass; dst[i] is copied by a later step
+		}
+		out = append(out, src[j])
+	}
+	r.cells = append(out, dst[i:]...)
 }
 
 // Live reports whether the row has any cell newer than its tombstone.
 func (r *Row) Live() bool {
-	for _, c := range r.Cells {
-		if c.Ver > r.Tomb {
+	for i := range r.cells {
+		if r.cells[i].Ver > r.Tomb {
 			return true
 		}
 	}
 	return false
 }
 
-// Record materializes the row's live cells as a Record, or nil if the row
-// is fully dead. Two passes keep the map iteration order-insensitive: the
-// first only counts (sizing the allocation exactly), the second only does
-// per-key writes.
-func (r *Row) Record() kv.Record {
-	live := 0
-	for _, c := range r.Cells {
-		if c.Ver > r.Tomb {
-			live++
+// liveCells counts the cells newer than the tombstone.
+func (r *Row) liveCells() int {
+	n := 0
+	for i := range r.cells {
+		if r.cells[i].Ver > r.Tomb {
+			n++
 		}
 	}
-	if live == 0 {
+	return n
+}
+
+// Record materializes the row's live cells as a Record, or nil if the row
+// is fully dead.
+func (r *Row) Record() kv.Record {
+	n := r.liveCells()
+	if n == 0 {
 		return nil
 	}
-	rec := make(kv.Record, live)
-	for f, c := range r.Cells {
-		if c.Ver > r.Tomb {
-			rec[f] = c.Val
+	return r.liveRecord(n)
+}
+
+// liveRecord builds a Record of the row's n live cells.
+func (r *Row) liveRecord(n int) kv.Record {
+	rec := make(kv.Record, n)
+	for i := range r.cells {
+		if c := &r.cells[i]; c.Ver > r.Tomb {
+			rec[c.Field] = c.Val
+		}
+	}
+	return rec
+}
+
+// Project materializes the row's live cells restricted to fields as a new
+// Record; a nil or empty field list selects every live cell. It equals
+// r.Record().Project(fields) without building the full record first, and
+// like it returns an empty, non-nil Record when nothing matches.
+func (r *Row) Project(fields []string) kv.Record {
+	if len(fields) == 0 {
+		return r.liveRecord(r.liveCells())
+	}
+	rec := make(kv.Record, len(fields))
+	for _, f := range fields {
+		if i, ok := r.find(f); ok && r.cells[i].Ver > r.Tomb {
+			rec[f] = r.cells[i].Val
 		}
 	}
 	return rec
@@ -101,9 +219,9 @@ func (r *Row) Record() kv.Record {
 // versions and tombstone. Replica digests compare this value.
 func (r *Row) Version() kv.Version {
 	v := r.Tomb
-	for _, c := range r.Cells {
-		if c.Ver > v {
-			v = c.Ver
+	for i := range r.cells {
+		if r.cells[i].Ver > v {
+			v = r.cells[i].Ver
 		}
 	}
 	return v
@@ -112,18 +230,14 @@ func (r *Row) Version() kv.Version {
 // Bytes returns the row's modeled on-disk size.
 func (r *Row) Bytes() int {
 	n := 16 // key/row overhead
-	for f, c := range r.Cells {
-		n += len(f) + 10 + c.Val.Bytes()
+	for i := range r.cells {
+		n += len(r.cells[i].Field) + 10 + r.cells[i].Val.Bytes()
 	}
 	return n
 }
 
-// Clone returns a deep copy of the row's cell map (values are immutable by
+// Clone returns a deep copy of the row's cells (values are immutable by
 // convention).
 func (r *Row) Clone() *Row {
-	c := &Row{Cells: make(map[string]Cell, len(r.Cells)), Tomb: r.Tomb}
-	for f, cell := range r.Cells {
-		c.Cells[f] = cell
-	}
-	return c
+	return &Row{cells: slices.Clone(r.cells), Tomb: r.Tomb}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -24,7 +25,7 @@ func TestSkiplistInsertAndGet(t *testing.T) {
 	}
 	for i, k := range keys {
 		row := s.Get(k)
-		if row == nil || row.Cells["f"].Ver != kv.Version(i+1) {
+		if row == nil || cellVer(row, "f") != kv.Version(i+1) {
 			t.Fatalf("get %q = %+v", k, row)
 		}
 	}
@@ -109,13 +110,19 @@ func TestBloomFalsePositiveRateReasonable(t *testing.T) {
 	}
 }
 
+// cellVer returns the version of r's cell for field, 0 when absent.
+func cellVer(r *Row, field string) kv.Version {
+	c, _ := r.Cell(field)
+	return c.Ver
+}
+
 func TestRowApplyLWWPerCell(t *testing.T) {
 	r := NewRow()
 	r.Apply(kv.Record{"a": kv.SizedValue(1), "b": kv.SizedValue(1)}, 10)
 	r.Apply(kv.Record{"a": kv.SizedValue(2)}, 20)
 	r.Apply(kv.Record{"b": kv.SizedValue(3)}, 5) // stale, must lose
-	if r.Cells["a"].Ver != 20 || r.Cells["b"].Ver != 10 {
-		t.Fatalf("cells = %+v", r.Cells)
+	if cellVer(r, "a") != 20 || cellVer(r, "b") != 10 {
+		t.Fatalf("cells = %+v", r.cells)
 	}
 }
 
@@ -150,8 +157,8 @@ func TestRowMergeFromCommutative(t *testing.T) {
 	a1.MergeFrom(b1)
 	a2, b2 := mk()
 	b2.MergeFrom(a2)
-	if a1.Version() != b2.Version() || a1.Cells["x"].Ver != b2.Cells["x"].Ver ||
-		a1.Cells["y"].Ver != b2.Cells["y"].Ver || a1.Tomb != b2.Tomb {
+	if a1.Version() != b2.Version() || cellVer(a1, "x") != cellVer(b2, "x") ||
+		cellVer(a1, "y") != cellVer(b2, "y") || a1.Tomb != b2.Tomb {
 		t.Fatalf("merge not commutative: %+v vs %+v", a1, b2)
 	}
 }
@@ -423,45 +430,80 @@ func TestEngineScanEmptyRange(t *testing.T) {
 }
 
 func TestEnginePropertyRandomOpsMatchModel(t *testing.T) {
-	// Property test: random interleaving of writes/deletes across flush
-	// boundaries always reads back what a flat map model predicts.
+	// Property test: random interleaving of multi-field partial writes and
+	// deletes across flush and compaction boundaries always reads back —
+	// through Get and through Scan — what the map-backed reference row
+	// predicts.
 	k := sim.NewKernel(99)
 	cfg := DefaultConfig()
 	cfg.MemtableBytes = 4 << 10
 	cfg.CompactMinTables = 3
 	e, _ := newTestEngine(t, k, cfg)
+	fields := []string{"f0", "f1", "f2", "f3"}
 	k.Spawn("client", func(p *sim.Proc) {
 		rng := rand.New(rand.NewSource(7))
-		model := map[kv.Key]kv.Version{} // latest live version, 0 = deleted/absent
+		model := map[kv.Key]*refRow{}
+		var keys []kv.Key // model keys in sorted order
+		checkScan := func(when string) {
+			start := kv.Key(fmt.Sprintf("user%03d", rng.Intn(110)))
+			limit := rng.Intn(30) + 1
+			var want []string
+			for _, key := range keys {
+				if m := model[key]; key >= start && m.live() && len(want) < limit {
+					want = append(want, fmt.Sprintf("%s=%v@%d", key, m.record(), m.version()))
+				}
+			}
+			got := scanRows(e.Scan(p, start, limit))
+			if !reflect.DeepEqual(got, want) && (len(got) > 0 || len(want) > 0) {
+				t.Errorf("%s: Scan(%s, %d) =\n%v\nwant\n%v", when, start, limit, got, want)
+			}
+		}
 		ver := kv.Version(0)
 		for op := 0; op < 2000; op++ {
 			key := kv.Key(fmt.Sprintf("user%03d", rng.Intn(100)))
+			m, ok := model[key]
+			if !ok {
+				m = newRefRow()
+				model[key] = m
+				keys = append(keys, key)
+				sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+			}
 			ver++
 			switch rng.Intn(10) {
 			case 0:
 				e.ApplyDelete(p, key, ver)
-				model[key] = 0
+				m.delete(ver)
 			default:
-				e.Apply(p, key, kv.Record{"f": kv.SizedValue(int(ver%97) + 1)}, ver)
-				model[key] = ver
+				rec := kv.Record{}
+				for _, f := range fields {
+					if rng.Intn(2) == 0 {
+						rec[f] = kv.SizedValue(int(ver%97) + 1)
+					}
+				}
+				e.Apply(p, key, rec, ver)
+				m.apply(rec, ver)
 			}
 			if op%100 == 0 {
+				checkScan(fmt.Sprintf("op %d", op))
 				p.Sleep(3e8) // let background work interleave
 			}
 		}
 		p.Sleep(5e9)
-		for key, want := range model {
+		if e.Flushes == 0 || e.Compactions == 0 {
+			t.Errorf("flushes = %d, compactions = %d; want both", e.Flushes, e.Compactions)
+		}
+		for key, m := range model {
 			row := e.Get(p, key)
-			switch {
-			case want == 0:
-				if row != nil && row.Live() {
-					t.Errorf("%s should be deleted, got %+v", key, row)
-				}
-			default:
-				if row == nil || !row.Live() || row.Version() != want {
-					t.Errorf("%s version mismatch: want %d got %+v", key, want, row)
-				}
+			if row == nil {
+				t.Errorf("%s missing", key)
+				continue
 			}
+			if row.Live() != m.live() || !reflect.DeepEqual(row.Record(), m.record()) || row.Version() != m.version() {
+				t.Errorf("%s: got %v@%d, want %v@%d", key, row.Record(), row.Version(), m.record(), m.version())
+			}
+		}
+		for i := 0; i < 20; i++ {
+			checkScan("after settling")
 		}
 	})
 	if err := k.Run(); err != nil {
