@@ -32,9 +32,8 @@ type fieldCell struct {
 // last-write-wins reconciliation of partial updates, and a tombstone
 // version shadows older cells after a delete.
 //
-// Cells are kept in a slice sorted by field name with unique fields. YCSB
-// rows all carry the same field list, so merging two rows is usually one
-// index-aligned pass with no allocation, and every walk over the cells
+// Cells are kept in a slice sorted by field name with unique fields, so
+// every merge is one walk over both sides and every walk over the cells
 // visits them in a fixed order.
 type Row struct {
 	cells []fieldCell // sorted by Field, unique
@@ -59,8 +58,8 @@ func (r *Row) find(field string) (int, bool) {
 	return lo, lo < len(r.cells) && r.cells[lo].Field == field
 }
 
-// Cell returns the cell stored for field, live or not.
-func (r *Row) Cell(field string) (Cell, bool) {
+// cell returns the cell stored for field, live or not.
+func (r *Row) cell(field string) (Cell, bool) {
 	if i, ok := r.find(field); ok {
 		return r.cells[i].Cell, true
 	}
@@ -70,21 +69,9 @@ func (r *Row) Cell(field string) (Cell, bool) {
 func byField(a, b fieldCell) int { return strings.Compare(a.Field, b.Field) }
 
 // Apply merges a write of rec at version ver into the row, keeping the
-// newest version of each cell.
+// newest version of each cell. Merged into an empty row, the record's
+// cells land in one allocation of exactly len(rec) cells.
 func (r *Row) Apply(rec kv.Record, ver kv.Version) {
-	if len(rec) == 0 {
-		return
-	}
-	if len(r.cells) == 0 {
-		// A fresh row takes the record's cells directly, sized once.
-		cells := make([]fieldCell, 0, len(rec))
-		for f, v := range rec {
-			cells = append(cells, fieldCell{Field: f, Cell: Cell{Val: v, Ver: ver}})
-		}
-		slices.SortFunc(cells, byField)
-		r.cells = cells
-		return
-	}
 	var buf [16]fieldCell // YCSB's ten-field writes sort on the stack
 	w := buf[:0]
 	for f, v := range rec {
@@ -117,9 +104,11 @@ func (r *Row) MergeFrom(o *Row) {
 
 // merge folds src (sorted by field, unique) into r.cells. The first pass
 // updates the fields both sides share in place and counts the fields
-// missing from r; when the field sets match — the common case — that
-// index-aligned pass is the whole merge. Otherwise a sorted merge builds
-// the union in a fresh slice.
+// missing from r. When none are missing — a replica fold, or an update of
+// fields the row already holds — that pass is the whole merge. Otherwise
+// one sorted merge builds the union in a slice sized once; into an empty
+// row, as every Engine.Get and Engine.Scan level merge starts, that is a
+// copy of src.
 func (r *Row) merge(src []fieldCell) {
 	dst := r.cells
 	missing, i := 0, 0

@@ -223,7 +223,7 @@ func TestRowMergeFromDoesNotShareCells(t *testing.T) {
 	dst := NewRow()
 	dst.MergeFrom(src)
 	dst.Apply(kv.Record{"a": kv.SizedValue(9)}, 5)
-	if c, _ := src.Cell("a"); c.Ver != 1 {
+	if c, _ := src.cell("a"); c.Ver != 1 {
 		t.Fatalf("merge target aliases its source: source cell a = %+v", c)
 	}
 }
@@ -329,9 +329,10 @@ var benchRow *Row
 
 // BenchmarkRowMergeFrom measures one two-level reconcile the way
 // Engine.Get and Engine.Scan do it: a fresh row merges the newer and then
-// the older of two 10-field rows. same-fields is the YCSB case (both rows
-// carry field0..field9); differing-fields overlaps the rows by half, so
-// the second merge takes the sorted-union path.
+// the older of two 10-field rows. In same-fields both rows carry
+// field0..field9, so the second merge takes the in-place pass;
+// differing-fields overlaps the rows by half, so it takes the sorted-union
+// path. The first merge, into the empty row, is a copy in both.
 func BenchmarkRowMergeFrom(b *testing.B) {
 	mk := func(from, to int, ver kv.Version) *Row {
 		rec := kv.Record{}

@@ -112,7 +112,7 @@ func TestBloomFalsePositiveRateReasonable(t *testing.T) {
 
 // cellVer returns the version of r's cell for field, 0 when absent.
 func cellVer(r *Row, field string) kv.Version {
-	c, _ := r.Cell(field)
+	c, _ := r.cell(field)
 	return c.Ver
 }
 
