@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-shard bench bench-kernel bench-shard bench-scale bench-spectrum bench-geo lint lint-report vet trace
+.PHONY: all build test race race-shard bench bench-kernel bench-scale bench-spectrum bench-geo lint lint-report vet trace
 
 all: build lint test
 
@@ -34,15 +34,6 @@ bench-kernel:
 		-benchmem -benchtime=20x -run='^$$' ./internal/sim . \
 		| $(GO) run ./cmd/benchjson -o BENCH_kernel.json
 	@cat BENCH_kernel.json
-
-# Single-cell scaling on the sharded kernel: the 64-node saturating
-# shardscale cell at 1/2/4/8 shards, archived as a JSON artifact beside
-# BENCH_kernel.json. Wall-clock scaling needs host cores — on a 1-core
-# runner the curve records engine overhead at ~1x instead (DESIGN.md §10).
-bench-shard:
-	$(GO) test -bench=ShardScale -benchmem -benchtime=3x -run='^$$' -timeout 30m . \
-		| $(GO) run ./cmd/benchjson -o BENCH_shard.json
-	@cat BENCH_shard.json
 
 # Deployment-scale scaling curve: the 512-node, million-session megascale
 # deployment at 1/2/4/8 shards, archived with the host's GOMAXPROCS and

@@ -85,6 +85,6 @@ func TestJSONReport(t *testing.T) {
 		}
 	}
 	if !sawChecked {
-		t.Error("expected the shardscale shardsafe ignores in the inventory")
+		t.Error("expected the megascale remote-read shardsafe ignores in the inventory")
 	}
 }

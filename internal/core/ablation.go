@@ -25,7 +25,7 @@ func AblationReadRepair(o Options) (*stats.Figure, error) {
 		c := cells[i]
 		opts := o
 		opts.ReadRepairChance = modes[c.mode].chance
-		res, err := runFig1Round(opts, "Cassandra", c.rf)
+		res, err := RunFig1Round(opts, "Cassandra", c.rf)
 		if err != nil {
 			return 0, fmt.Errorf("ablation read-repair rf=%d: %w", c.rf, err)
 		}
@@ -77,7 +77,7 @@ func AblationHBaseSyncRepl(o Options) (*stats.Figure, error) {
 		c := cells[i]
 		opts := o
 		opts.MemReplication = modes[c.mode].mem
-		res, err := runFig1Round(opts, "HBase", c.rf)
+		res, err := RunFig1Round(opts, "HBase", c.rf)
 		if err != nil {
 			return 0, fmt.Errorf("ablation sync-repl rf=%d: %w", c.rf, err)
 		}
@@ -110,7 +110,7 @@ func AblationClientThreads(o Options, threadCounts []int, target float64) (*stat
 	vals, err := runCells(o.workers(), len(threadCounts), func(i int) (float64, error) {
 		threads := threadCounts[i]
 		spec := ycsb.ReadMostly(o.StressRecords)
-		d := deployHBase(o, 3, spec)
+		d := deploy(o, cell{db: "HBase", rf: 3, spec: spec})
 		var mean time.Duration
 		err := d.drive(func(p *sim.Proc) {
 			w := ycsb.NewWorkload(spec)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"cloudbench/internal/consistency"
-	"cloudbench/internal/sim"
 	"cloudbench/internal/stats"
 	"cloudbench/internal/ycsb"
 )
@@ -24,7 +22,7 @@ import (
 // client-centric staleness next to the usual latency and throughput.
 //
 // Audit cells run Cassandra with the replica MutationStage jitter enabled
-// (Options.MutationStageDelay): without it the simulated fan-out delivers
+// (cassandra.Config.MutationStageMeanDelay): without it the simulated fan-out delivers
 // strictly FIFO per node and a read issued after a write's ack can never
 // overtake the main replica's pending apply, so CL=ONE staleness would be
 // structurally zero — unlike a real cluster, where per-message stage
@@ -53,39 +51,13 @@ const (
 	// auditMutationStage is the per-mutation stage jitter mean (scaled by
 	// RF inside cassandra) used by every Cassandra audit cell.
 	auditMutationStage = 150 * time.Microsecond
-	// auditFaultSettle keeps the simulation alive after the run so the
+	// auditFaultSettle keeps a fault cell alive after the run so the
 	// hint-replay loop (default interval 10 s) demonstrably drains.
 	auditFaultSettle = 15 * time.Second
 )
 
-// AuditResult is one cell of the consistency audit: one database, one
-// workload, one consistency setting, one replication factor.
-type AuditResult struct {
-	DB       string
-	Workload string
-	Level    string
-	RF       int
-	Fault    bool // ran under the fail/recover cycle
-
-	// Performance, as in the paper's figures.
-	Runtime float64 // measured run-phase throughput, ops/s
-	Mean    time.Duration
-
-	// Client-centric consistency over the measured window.
-	Consistency consistency.Report
-}
-
-// AuditResults collects the full audit grid.
-type AuditResults []AuditResult
-
-// auditCell is one grid point to run.
-type auditCell struct {
-	db    string
-	lv    ConsistencySetting
-	rf    int
-	spec  ycsb.Spec
-	fault bool
-}
+// AuditResults collects the full audit grid, one CellResult per cell.
+type AuditResults []CellResult
 
 // auditSpecs returns the audited workloads: the two stress workloads whose
 // read/write interleaving makes staleness observable.
@@ -96,140 +68,43 @@ func auditSpecs(o Options) []ycsb.Spec {
 	}
 }
 
+// stressCell is the audit and spectrum cell shape: the stress client at
+// full concurrency under the consistency oracle, with the replica
+// MutationStage jitter on for Cassandra.
+func stressCell(o Options, db string, lv ConsistencySetting, rf int, spec ycsb.Spec) cell {
+	return cell{
+		db: db, level: lv, rf: rf, spec: spec,
+		loadThreads: o.Threads, threads: o.Threads, ops: o.StressOps,
+		mutationStage: auditMutationStage,
+	}
+}
+
 // auditCells enumerates the canonical audit order: workload-major, the
 // HBase control sweep first, then Cassandra level-major with RF ascending,
-// and the single fault-injected cell last.
-func auditCells(o Options) []auditCell {
-	var cells []auditCell
+// and the single fault-injected cell last. The fault cell fails one server
+// a quarter into the run and recovers it at the midpoint.
+func auditCells(o Options) []cell {
+	var cells []cell
 	for _, spec := range auditSpecs(o) {
 		for _, rf := range o.ReplicationFactors {
-			cells = append(cells, auditCell{db: "HBase", lv: ConsistencySetting{Name: "strong"}, rf: rf, spec: spec})
+			cells = append(cells, stressCell(o, "HBase", ConsistencySetting{Name: "strong"}, rf, spec))
 		}
-		for _, lv := range levels() {
+		for _, lv := range Levels() {
 			for _, rf := range o.ReplicationFactors {
-				cells = append(cells, auditCell{db: "Cassandra", lv: lv, rf: rf, spec: spec})
+				cells = append(cells, stressCell(o, "Cassandra", lv, rf, spec))
 			}
 		}
 	}
-	cells = append(cells, auditCell{
-		db: "Cassandra", lv: levels()[0], rf: auditFaultRF(o),
-		spec: ycsb.ReadUpdate(o.StressRecords), fault: true,
-	})
-	return cells
-}
-
-// auditFaultRF picks the fault cell's replication factor: the paper's
-// recommended 3 when the sweep includes it, otherwise the largest swept
-// factor (so the healthy counterpart cell always exists).
-func auditFaultRF(o Options) int {
-	rf := o.ReplicationFactors[len(o.ReplicationFactors)-1]
-	for _, f := range o.ReplicationFactors {
-		if f == 3 {
-			return 3
-		}
-	}
-	return rf
+	f := stressCell(o, "Cassandra", Levels()[0], anchorRF(o), ycsb.ReadUpdate(o.StressRecords))
+	f.fault = failRecover
+	return append(cells, f)
 }
 
 // RunConsistencyAudit runs the audit grid. Each cell is a self-contained
 // deployment with a fresh oracle, fanned out across the sweep scheduler;
 // like every experiment the report is bit-identical for any parallelism.
 func RunConsistencyAudit(o Options) (AuditResults, error) {
-	cells := auditCells(o)
-	results, err := runCells(o.workers(), len(cells), func(i int) (AuditResult, error) {
-		res, err := runAuditCell(o, cells[i])
-		if err != nil {
-			return res, fmt.Errorf("audit %s/%s/rf%d: %w", cells[i].db, cells[i].lv.Name, cells[i].rf, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// runAuditCell deploys one database, attaches an oracle, loads, runs the
-// workload (optionally failing and recovering a server mid-run), lets
-// repairs and hint replay settle, and snapshots the oracle's report.
-func runAuditCell(o Options, c auditCell) (AuditResult, error) {
-	var d *deployment
-	if c.db == "HBase" {
-		d = deployHBase(o, c.rf, c.spec)
-	} else {
-		oc := o
-		oc.MutationStageDelay = auditMutationStage
-		d = deployCassandra(oc, c.rf, c.lv.Read, c.lv.Write)
-	}
-	oracle := consistency.New()
-	if d.hb != nil {
-		d.hb.SetOracle(oracle)
-	} else {
-		d.ca.SetOracle(oracle)
-	}
-	out := AuditResult{DB: c.db, Workload: c.spec.Name, Level: c.lv.Name, RF: c.rf, Fault: c.fault}
-	err := d.drive(func(p *sim.Proc) {
-		w := ycsb.NewWorkload(c.spec)
-		d.loadAndSettle(p, w, o.Threads)
-		rcfg := ycsb.RunConfig{
-			Threads:        o.Threads,
-			Ops:            o.StressOps,
-			WarmupFraction: o.WarmupFraction,
-			Oracle:         oracle,
-		}
-		if c.fault {
-			// Fail one server a quarter into the run and recover it at
-			// the midpoint, by operation progress so the cycle lands
-			// inside the measured window at every profile scale.
-			victim := d.clus.Nodes[o.ServerNodes/2]
-			rcfg.Events = []ycsb.RunEvent{
-				{AfterOps: o.StressOps / 4, Fn: victim.Fail},
-				{AfterOps: o.StressOps / 2, Fn: victim.Recover},
-			}
-		}
-		run := c.spec
-		run.RecordCount = w.Inserted()
-		wl := ycsb.NewWorkload(run)
-		res := ycsb.Run(p, d.newClient, wl, rcfg)
-		out.Runtime = res.Throughput
-		out.Mean = res.MeanLatency()
-		settle := quiesce
-		if c.fault {
-			settle = auditFaultSettle
-		}
-		p.Sleep(settle)
-	})
-	// The final report (not the runner's end-of-phase snapshot) includes
-	// propagation that completed during the settle sleep — background
-	// repairs and hint replay — so t-visibility and apply counts are
-	// complete; the read-side staleness counters are identical, since no
-	// client reads happen after the run.
-	if oracle != nil {
-		out.Consistency = oracle.Report()
-	}
-	return out, err
-}
-
-// get returns the audit cell for (db, workload, level, rf) among the
-// healthy cells, or nil.
-func (r AuditResults) get(db, workload, level string, rf int) *AuditResult {
-	for i := range r {
-		m := &r[i]
-		if m.DB == db && m.Workload == workload && m.Level == level && m.RF == rf && !m.Fault {
-			return m
-		}
-	}
-	return nil
-}
-
-// fault returns the fault-injected cell, or nil.
-func (r AuditResults) fault() *AuditResult {
-	for i := range r {
-		if r[i].Fault {
-			return &r[i]
-		}
-	}
-	return nil
+	return runGrid(o, "audit", auditCells(o))
 }
 
 // Table renders the audit as one paper-style row per cell: staleness and
@@ -331,8 +206,8 @@ func CheckAudit(r AuditResults) []Finding {
 
 	// FA4: fault injection at ONE adds staleness/monotonic regressions,
 	// and hinted handoff is what closes the gap after recovery.
-	if f := r.fault(); f != nil {
-		h := r.get(f.DB, f.Workload, f.Level, f.RF)
+	if f := lookup(r, CellResult{Fault: true}); f != nil {
+		h := lookup(r, CellResult{DB: f.DB, Workload: f.Workload, Level: f.Level, RF: f.RF})
 		pass := f.Consistency.HintApplies > 0
 		detail := fmt.Sprintf("fault cell (%s %s rf%d): stale=%.3f%% mono-viol=%d hint-applies=%d",
 			f.Level, f.Workload, f.RF, 100*f.Consistency.StaleFraction(),

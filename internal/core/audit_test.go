@@ -24,7 +24,7 @@ func TestConsistencyAuditSmoke(t *testing.T) {
 	if want := len(auditCells(o)); len(res) != want {
 		t.Fatalf("cells = %d, want %d", len(res), want)
 	}
-	if res.fault() == nil {
+	if lookup(res, CellResult{Fault: true}) == nil {
 		t.Fatal("fault cell missing")
 	}
 	for _, f := range CheckAudit(res) {
@@ -79,18 +79,18 @@ func syntheticAudit(rfs []int, oneStale []int64, faultStale, faultHints int64) A
 	}
 	for _, wl := range []string{"read-latest", "read-update"} {
 		for _, rf := range rfs {
-			res = append(res, AuditResult{DB: "HBase", Workload: wl, Level: "strong", RF: rf, Runtime: 1, Consistency: mk(0)})
+			res = append(res, CellResult{DB: "HBase", Workload: wl, Level: "strong", RF: rf, Runtime: 1, Consistency: mk(0)})
 		}
 		for i, rf := range rfs {
-			res = append(res, AuditResult{DB: "Cassandra", Workload: wl, Level: "ONE", RF: rf, Runtime: 1, Consistency: mk(oneStale[i])})
+			res = append(res, CellResult{DB: "Cassandra", Workload: wl, Level: "ONE", RF: rf, Runtime: 1, Consistency: mk(oneStale[i])})
 		}
 		for _, lv := range []string{"QUORUM", "writeALL"} {
 			for _, rf := range rfs {
-				res = append(res, AuditResult{DB: "Cassandra", Workload: wl, Level: lv, RF: rf, Runtime: 1, Consistency: mk(0)})
+				res = append(res, CellResult{DB: "Cassandra", Workload: wl, Level: lv, RF: rf, Runtime: 1, Consistency: mk(0)})
 			}
 		}
 	}
-	res = append(res, AuditResult{
+	res = append(res, CellResult{
 		DB: "Cassandra", Workload: "read-update", Level: "ONE", RF: rfs[len(rfs)-1], Fault: true, Runtime: 1,
 		Consistency: consistency.Report{Reads: 10_000, StaleReads: faultStale, HintApplies: faultHints},
 	})

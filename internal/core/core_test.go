@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cloudbench/internal/kv"
+	"cloudbench/internal/objstore"
 	"cloudbench/internal/sim"
 	"cloudbench/internal/ycsb"
 )
@@ -49,45 +50,31 @@ func TestVerifyTable1(t *testing.T) {
 	}
 }
 
-func TestDeployHBaseServesTraffic(t *testing.T) {
-	o := reducedOptions()
+// TestDeployServesTraffic deploys each backend through deploy and serves
+// an insert and a read. The object store's anti-entropy daemon runs until
+// stopped, so drive returning at all proves the stop hook fires.
+func TestDeployServesTraffic(t *testing.T) {
 	spec := ycsb.ReadMostly(100)
-	d := deployHBase(o, 3, spec)
-	err := d.drive(func(p *sim.Proc) {
-		cl := d.newClient()
-		if err := cl.Insert(p, spec.KeyFor(1), kv.Record{"f": kv.SizedValue(10)}); err != nil {
-			t.Error(err)
-		}
-		if _, err := cl.Read(p, spec.KeyFor(1), nil); err != nil {
-			t.Error(err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.hb == nil || d.ca != nil {
-		t.Fatal("wrong backend")
-	}
-}
-
-func TestDeployCassandraServesTraffic(t *testing.T) {
-	o := reducedOptions()
-	d := deployCassandra(o, 3, kv.Quorum, kv.Quorum)
-	spec := ycsb.ReadMostly(100)
-	err := d.drive(func(p *sim.Proc) {
-		cl := d.newClient()
-		if err := cl.Insert(p, spec.KeyFor(1), kv.Record{"f": kv.SizedValue(10)}); err != nil {
-			t.Error(err)
-		}
-		if _, err := cl.Read(p, spec.KeyFor(1), nil); err != nil {
-			t.Error(err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.ca == nil || d.hb != nil {
-		t.Fatal("wrong backend")
+	for _, c := range []cell{
+		{db: "HBase", rf: 3, spec: spec},
+		{db: "Cassandra", level: Levels()[1], rf: 3, spec: spec},
+		{db: "ObjStore", mode: objstore.ReadOne, rf: 3, interval: 200 * time.Millisecond, spec: spec},
+	} {
+		t.Run(c.db, func(t *testing.T) {
+			d := deploy(reducedOptions(), c)
+			err := d.drive(func(p *sim.Proc) {
+				cl := d.newClient()
+				if err := cl.Insert(p, spec.KeyFor(1), kv.Record{"f": kv.SizedValue(10)}); err != nil {
+					t.Error(err)
+				}
+				if _, err := cl.Read(p, spec.KeyFor(1), nil); err != nil {
+					t.Error(err)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -95,7 +82,7 @@ func TestGCStopsWithDriver(t *testing.T) {
 	// The drive wrapper must stop GC pause processes or Run never
 	// drains; a clean return proves it.
 	o := reducedOptions()
-	d := deployCassandra(o, 1, kv.One, kv.One)
+	d := deploy(o, cell{db: "Cassandra", level: Levels()[0], rf: 1})
 	done := false
 	if err := d.drive(func(p *sim.Proc) {
 		p.Sleep(3 * time.Second) // several GC cycles
@@ -184,7 +171,7 @@ func TestFig3ReproducesConsistencyFindings(t *testing.T) {
 		// 1-cell smoke: one workload at one consistency level.
 		o := smokeOptions()
 		spec := ycsb.StressWorkloads(o.StressRecords)[0]
-		res, err := runFig3Workload(o, levels()[1], spec, []float64{0})
+		res, err := runFig3Workload(o, Levels()[1], spec, []float64{0})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,9 +35,9 @@ func TestRunGeoReproducesFindings(t *testing.T) {
 	// EACH_QUORUM write waits out the 80ms round trip, LOCAL_QUORUM and
 	// ONE complete inside the DC.
 	anchor := rfLabel(geoUniformRF(2, 2))
-	eq := res.find(geoModeGrid, 2, geoAnchorRTT, "EACH_QUORUM", anchor)
+	eq := lookup(res, CellResult{Mode: geoModeGrid, DCs: 2, RTT: geoAnchorRTT, Level: "EACH_QUORUM", PerDC: anchor})
 	for _, lv := range []string{"ONE", "LOCAL_QUORUM"} {
-		m := res.find(geoModeGrid, 2, geoAnchorRTT, lv, anchor)
+		m := lookup(res, CellResult{Mode: geoModeGrid, DCs: 2, RTT: geoAnchorRTT, Level: lv, PerDC: anchor})
 		if m == nil || eq == nil {
 			t.Fatalf("missing anchor cell %s", lv)
 		}

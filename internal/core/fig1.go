@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"cloudbench/internal/kv"
 	"cloudbench/internal/sim"
 	"cloudbench/internal/stats"
 	"cloudbench/internal/ycsb"
@@ -52,7 +51,7 @@ func RunFig1(o Options) (Fig1Results, error) {
 	cells := dbRFCells(o)
 	rounds, err := runCells(o.workers(), len(cells), func(i int) (Fig1Results, error) {
 		c := cells[i]
-		res, err := runFig1Round(o, c.db, c.rf)
+		res, err := RunFig1Round(o, c.db, c.rf)
 		if err != nil {
 			return nil, fmt.Errorf("fig1 %s rf=%d: %w", c.db, c.rf, err)
 		}
@@ -65,20 +64,11 @@ func RunFig1(o Options) (Fig1Results, error) {
 }
 
 // RunFig1Round runs one round of the micro benchmark: one database at one
-// replication factor, the four atomic tests in paper order.
+// replication factor, the four atomic tests in paper order. Cassandra runs
+// the default consistency strategy, ONE/ONE.
 func RunFig1Round(o Options, db string, rf int) (Fig1Results, error) {
-	return runFig1Round(o, db, rf)
-}
-
-func runFig1Round(o Options, db string, rf int) (Fig1Results, error) {
 	loadSpec := ycsb.MicroUpdate(o.MicroRecords) // shape only; used for load
-	var d *deployment
-	if db == "HBase" {
-		d = deployHBase(o, rf, loadSpec)
-	} else {
-		// Micro tests use the default consistency strategy: ONE/ONE.
-		d = deployCassandra(o, rf, kv.One, kv.One)
-	}
+	d := deploy(o, cell{db: db, level: Levels()[0], rf: rf, spec: loadSpec})
 	var out Fig1Results
 	err := d.drive(func(p *sim.Proc) {
 		w := ycsb.NewWorkload(loadSpec)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"cloudbench/internal/kv"
 	"cloudbench/internal/sim"
 	"cloudbench/internal/stats"
 	"cloudbench/internal/ycsb"
@@ -37,7 +36,7 @@ func RunFig2(o Options) (Fig2Results, error) {
 	cells := dbRFCells(o)
 	rounds, err := runCells(o.workers(), len(cells), func(i int) (Fig2Results, error) {
 		c := cells[i]
-		res, err := runFig2Round(o, c.db, c.rf)
+		res, err := RunFig2Round(o, c.db, c.rf)
 		if err != nil {
 			return nil, fmt.Errorf("fig2 %s rf=%d: %w", c.db, c.rf, err)
 		}
@@ -51,19 +50,10 @@ func RunFig2(o Options) (Fig2Results, error) {
 
 // RunFig2Round runs one round of the stress benchmark for replication:
 // one database at one replication factor, the five Table 1 workloads in
-// paper order.
+// paper order. Cassandra runs ONE/ONE.
 func RunFig2Round(o Options, db string, rf int) (Fig2Results, error) {
-	return runFig2Round(o, db, rf)
-}
-
-func runFig2Round(o Options, db string, rf int) (Fig2Results, error) {
 	loadSpec := ycsb.ReadMostly(o.StressRecords)
-	var d *deployment
-	if db == "HBase" {
-		d = deployHBase(o, rf, loadSpec)
-	} else {
-		d = deployCassandra(o, rf, kv.One, kv.One)
-	}
+	d := deploy(o, cell{db: db, level: Levels()[0], rf: rf, spec: loadSpec})
 	var out Fig2Results
 	err := d.drive(func(p *sim.Proc) {
 		w := ycsb.NewWorkload(loadSpec)

@@ -40,7 +40,7 @@ func RunFig3(o Options) (Fig3Results, error) {
 
 	// Capacity probe per workload at ONE.
 	probes, err := runCells(o.workers(), len(specs), func(i int) (Fig3Results, error) {
-		return runFig3Workload(o, levels()[0], specs[i], []float64{0})
+		return runFig3Workload(o, Levels()[0], specs[i], []float64{0})
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fig3 capacity probe: %w", err)
@@ -68,7 +68,7 @@ func RunFig3(o Options) (Fig3Results, error) {
 		spec ycsb.Spec
 	}
 	var cells []gridCell
-	for _, lv := range levels() {
+	for _, lv := range Levels() {
 		for _, spec := range specs {
 			cells = append(cells, gridCell{lv: lv, spec: spec})
 		}
@@ -119,7 +119,7 @@ func RunFig3Level(o Options, lv ConsistencySetting) (Fig3Results, error) {
 // the grid embarrassingly parallel.
 func runFig3Workload(o Options, lv ConsistencySetting, spec ycsb.Spec, tlist []float64) (Fig3Results, error) {
 	var out Fig3Results
-	d := deployCassandra(o, 3, lv.Read, lv.Write)
+	d := deploy(o, cell{db: "Cassandra", level: lv, rf: 3, spec: spec})
 	err := d.drive(func(p *sim.Proc) {
 		w := ycsb.NewWorkload(spec)
 		d.loadAndSettle(p, w, o.Threads)
@@ -157,7 +157,7 @@ func (r Fig3Results) Figures() []*stats.Figure {
 		f := stats.NewFigure(
 			fmt.Sprintf("Fig. 3 (stress consistency): %s — runtime vs target throughput", wl),
 			"target (ops/s)", "runtime (ops/s)")
-		for _, lv := range levels() {
+		for _, lv := range Levels() {
 			s := f.AddSeries(lv.Name)
 			for _, m := range r {
 				if m.Workload == wl && m.Level == lv.Name && m.Target > 0 {

@@ -5,12 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"cloudbench/internal/cassandra"
-	"cloudbench/internal/cluster"
-	"cloudbench/internal/consistency"
-	"cloudbench/internal/geo"
 	"cloudbench/internal/kv"
-	"cloudbench/internal/sim"
 	"cloudbench/internal/stats"
 	"cloudbench/internal/ycsb"
 )
@@ -123,251 +118,55 @@ const (
 	geoModeAdaptive = "sla-adaptive"
 )
 
-// geoCell is one grid point of the geo sweep.
-type geoCell struct {
-	dcs   int
-	rtt   time.Duration
-	lv    ConsistencySetting
-	perDC []int
-	mode  string
-}
-
 // geoCells enumerates the canonical sweep order: the 2- and 3-DC RTT ×
 // level grids, the RF-per-DC sweep at the anchor point, the two
 // DC-partition fault cells, and the two SLA cells last.
-func geoCells(o Options) []geoCell {
-	var cells []geoCell
+func geoCells(o Options) []cell {
+	geoCell := func(rtt time.Duration, lv ConsistencySetting, perDC []int, mode string) cell {
+		c := cell{
+			db: "Cassandra", level: lv, perDC: perDC, rtt: rtt,
+			spec:        ycsb.ReadUpdate(o.StressRecords),
+			loadThreads: geoThreads(o), threads: geoThreads(o), ops: geoOps(o),
+			noGC: true, mutationStage: auditMutationStage, geoMode: mode,
+		}
+		switch mode {
+		case geoModeFault:
+			c.fault = partition
+		case geoModeAdaptive:
+			c.adaptive = true
+		}
+		return c
+	}
+	var cells []cell
 	for _, dcs := range []int{2, 3} {
 		for _, rtt := range geoRTTs() {
 			for _, lv := range geoLevels() {
-				cells = append(cells, geoCell{dcs: dcs, rtt: rtt, lv: lv, perDC: geoUniformRF(dcs, 2), mode: geoModeGrid})
+				cells = append(cells, geoCell(rtt, lv, geoUniformRF(dcs, 2), geoModeGrid))
 			}
 		}
 	}
 	for _, perDC := range [][]int{{1, 1}, {3, 1}, {3, 3}} {
-		cells = append(cells, geoCell{dcs: 2, rtt: geoAnchorRTT, lv: geoLevels()[1], perDC: perDC, mode: geoModeGrid})
+		cells = append(cells, geoCell(geoAnchorRTT, geoLevels()[1], perDC, geoModeGrid))
 	}
 	for _, lv := range []ConsistencySetting{geoLevels()[2], geoLevels()[1]} {
-		cells = append(cells, geoCell{dcs: 2, rtt: geoAnchorRTT, lv: lv, perDC: geoUniformRF(2, 2), mode: geoModeFault})
+		cells = append(cells, geoCell(geoAnchorRTT, lv, geoUniformRF(2, 2), geoModeFault))
 	}
-	cells = append(cells,
-		geoCell{dcs: 2, rtt: geoAnchorRTT, lv: geoLevels()[2], perDC: geoUniformRF(2, 2), mode: geoModeFixed},
-		geoCell{dcs: 2, rtt: geoAnchorRTT, lv: ConsistencySetting{Name: "adaptive", Read: kv.LocalQuorum}, perDC: geoUniformRF(2, 2), mode: geoModeAdaptive},
+	return append(cells,
+		geoCell(geoAnchorRTT, geoLevels()[2], geoUniformRF(2, 2), geoModeFixed),
+		geoCell(geoAnchorRTT, ConsistencySetting{Name: "adaptive", Read: kv.LocalQuorum}, geoUniformRF(2, 2), geoModeAdaptive),
 	)
-	return cells
 }
 
-// GeoResult is one cell of the geo experiment.
-type GeoResult struct {
-	DCs   int
-	RTT   time.Duration
-	Level string // write consistency level (or "adaptive")
-	PerDC string // NetworkTopologyStrategy allocation, e.g. "2+2"
-	Mode  string // grid, fault, sla-fixed, or sla-adaptive
-
-	Throughput float64
-	ReadMean   time.Duration
-	ReadP99    time.Duration
-	WriteMean  time.Duration
-	WriteP99   time.Duration
-	Errors     int64
-
-	// Consistency is the oracle's report: what the level leaked.
-	Consistency consistency.Report
-
-	// Adaptive carries the controller's counters for the sla-adaptive
-	// cell (nil elsewhere); AdaptiveStage is its final rung name.
-	Adaptive      *geo.Metrics
-	AdaptiveStage string
-}
-
-// GeoResults collects the full geo grid.
-type GeoResults []GeoResult
+// GeoResults collects the full geo grid, one CellResult per cell. The
+// Level label is the write consistency level (or "adaptive").
+type GeoResults []CellResult
 
 // RunGeo runs the geo-replication grid. Like every experiment, each cell
 // is a self-contained deterministic simulation fanned out across the
 // sweep scheduler, and the report is bit-identical for any Parallelism or
 // Shards value.
 func RunGeo(o Options) (GeoResults, error) {
-	cells := geoCells(o)
-	results, err := runCells(o.workers(), len(cells), func(i int) (GeoResult, error) {
-		c := cells[i]
-		res, err := runGeoCell(o, c)
-		if err != nil {
-			return res, fmt.Errorf("geo %ddc/%v/%s/%s: %w", c.dcs, c.rtt, c.lv.Name, c.mode, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// deployGeo provisions one multi-DC Cassandra cell: dcs blocks of
-// (geoServersPerDC+1) nodes — servers first, one client-attach machine
-// last — over a WANChain of the cell's RTT, replicated per the cell's
-// RF-per-DC allocation. Client threads round-robin across the per-DC
-// attach nodes (the ycsb runner calls the factory once per thread, in
-// thread order, so the assignment is deterministic). The sla-adaptive
-// cell wraps every thread's client in the adaptive ladder around one
-// shared controller.
-func deployGeo(o Options, c geoCell) (*deployment, *geo.Controller) {
-	spd := geoServersPerDC
-	ccfg := o.Cluster
-	ccfg.Nodes = c.dcs * (spd + 1)
-	sizes := make([]int, c.dcs)
-	for i := range sizes {
-		sizes[i] = spd + 1
-	}
-	ccfg.Geo = &cluster.GeoTopology{
-		DCSizes:   sizes,
-		WANOneWay: cluster.WANChain(c.dcs, c.rtt),
-		WANJitter: geoWANJitter,
-	}
-
-	var k *sim.Kernel
-	var group *sim.ShardGroup
-	if o.Shards > 1 {
-		g := newShardGroup(o, cluster.PlanShards(ccfg, o.Shards))
-		k = g.Shard(0).Kernel()
-		group = g
-	} else {
-		k = sim.NewKernel(o.Seed)
-	}
-	clus := cluster.New(k, ccfg)
-
-	servers := make([]*cluster.Node, 0, c.dcs*spd)
-	attach := make([]*cluster.Node, 0, c.dcs)
-	for dc := 0; dc < c.dcs; dc++ {
-		base := dc * (spd + 1)
-		servers = append(servers, clus.Nodes[base:base+spd]...)
-		attach = append(attach, clus.Nodes[base+spd])
-	}
-
-	cfg := cassandra.DefaultConfig()
-	cfg.DCReplicas = append([]int(nil), c.perDC...)
-	cfg.Engine = engineConfig(o)
-	cfg.Engine.SyncWAL = false // commitlog_sync: periodic
-	cfg.ReadRepairChance = o.ReadRepairChance
-	// Staleness is a reported column in every geo cell, so the replica
-	// MutationStage jitter is on, as in the consistency audit.
-	cfg.MutationStageMeanDelay = auditMutationStage
-	if c.mode != geoModeAdaptive {
-		cfg.ReadCL, cfg.WriteCL = c.lv.Read, c.lv.Write
-	}
-	db := cassandra.New(k, cfg, servers)
-
-	var ctrl *geo.Controller
-	var nextDC int
-	var newClient ycsb.ClientFactory
-	if c.mode == geoModeAdaptive {
-		ctrl = geo.NewController(geo.ControllerConfig{
-			Ladder:   geo.WriteLadder(kv.LocalQuorum),
-			Deadline: geoSLADeadline,
-			// Trust the estimate early so the step-down transient lands
-			// inside the warmup window at every profile scale, and hold
-			// the re-probe past the measured run so probe ops (paying
-			// the strong level's WAN price) cannot pollute the p99.
-			MinSamples: 10,
-			Cooldown:   30 * time.Second,
-		})
-		newClient = func() kv.Client {
-			base := db.NewClient(attach[nextDC%len(attach)])
-			nextDC++
-			return geo.NewClient(ctrl, func(s geo.Stage) kv.Client {
-				return base.WithConsistency(s.Read, s.Write)
-			})
-		}
-	} else {
-		newClient = func() kv.Client {
-			n := attach[nextDC%len(attach)]
-			nextDC++
-			return db.NewClient(n)
-		}
-	}
-
-	d := &deployment{
-		k:          k,
-		group:      group,
-		clus:       clus,
-		clientNode: attach[0],
-		newClient:  newClient,
-		flush:      db.FlushAll,
-		ca:         db,
-	}
-	return d, ctrl
-}
-
-// runGeoCell deploys one cell, loads, runs the read-update mixer
-// (optionally cutting and healing the DC 0–1 WAN link mid-run), lets
-// propagation settle, and snapshots the oracle and controller.
-func runGeoCell(o Options, c geoCell) (GeoResult, error) {
-	d, ctrl := deployGeo(o, c)
-	oracle := consistency.New()
-	d.ca.SetOracle(oracle)
-	out := GeoResult{
-		DCs: c.dcs, RTT: c.rtt, Level: c.lv.Name, PerDC: rfLabel(c.perDC), Mode: c.mode,
-	}
-	ops := geoOps(o)
-	err := d.drive(func(p *sim.Proc) {
-		spec := ycsb.ReadUpdate(o.StressRecords)
-		w := ycsb.NewWorkload(spec)
-		d.loadAndSettle(p, w, geoThreads(o))
-		rcfg := ycsb.RunConfig{
-			Threads:        geoThreads(o),
-			Ops:            ops,
-			WarmupFraction: o.WarmupFraction,
-			Oracle:         oracle,
-		}
-		if c.mode == geoModeFault {
-			// Cut the DC 0–1 WAN link a quarter into the run and heal it
-			// at the midpoint — by operation progress, so the outage
-			// lands inside the measured window at every profile scale.
-			rcfg.Events = []ycsb.RunEvent{
-				{AfterOps: ops / 4, Fn: func() { d.clus.PartitionZones(0, 1) }},
-				{AfterOps: ops / 2, Fn: func() { d.clus.HealZones(0, 1) }},
-			}
-		}
-		run := spec
-		run.RecordCount = w.Inserted()
-		res := ycsb.Run(p, d.newClient, ycsb.NewWorkload(run), rcfg)
-		out.Throughput = res.Throughput
-		out.ReadMean = res.PerOp[ycsb.OpRead].Mean()
-		out.ReadP99 = res.PerOp[ycsb.OpRead].Percentile(99)
-		out.WriteMean = res.PerOp[ycsb.OpUpdate].Mean()
-		out.WriteP99 = res.PerOp[ycsb.OpUpdate].Percentile(99)
-		out.Errors = res.Errors
-		settle := quiesce
-		if c.mode == geoModeFault {
-			settle = auditFaultSettle
-		}
-		p.Sleep(settle)
-	})
-	// Snapshot after the settle sleep so WAN propagation that completed
-	// post-run (async forwards, read repair) is reflected in the lag and
-	// visibility columns.
-	if oracle != nil {
-		out.Consistency = oracle.Report()
-	}
-	if ctrl != nil {
-		m := ctrl.Metrics()
-		out.Adaptive = &m
-		out.AdaptiveStage = ctrl.StageName()
-	}
-	return out, err
-}
-
-// find returns the first cell matching (mode, dcs, rtt, level, perDC), or
-// nil.
-func (r GeoResults) find(mode string, dcs int, rtt time.Duration, level, perDC string) *GeoResult {
-	for i := range r {
-		m := &r[i]
-		if m.Mode == mode && m.DCs == dcs && m.RTT == rtt && m.Level == level && m.PerDC == perDC {
-			return m
-		}
-	}
-	return nil
+	return runGrid(o, "geo", geoCells(o))
 }
 
 // Table renders the geo grid as one row per cell: the latency profile,
@@ -392,7 +191,7 @@ func (r GeoResults) Table() *stats.Table {
 			misses = fmt.Sprintf("%d", m.Adaptive.Misses)
 		}
 		t.AddRow(m.DCs, m.RTT.String(), m.Level, m.PerDC, m.Mode,
-			m.Throughput,
+			m.Runtime,
 			m.ReadMean.Round(time.Microsecond).String(),
 			m.ReadP99.Round(time.Microsecond).String(),
 			m.WriteMean.Round(time.Microsecond).String(),
@@ -415,10 +214,10 @@ func CheckGeo(o Options, r GeoResults) []Finding {
 	// WAN traffic is asynchronous).
 	var eqMeans, lqMeans []time.Duration
 	for _, rtt := range rtts {
-		if m := r.find(geoModeGrid, 2, rtt, "EACH_QUORUM", anchor); m != nil {
+		if m := lookup(r, CellResult{Mode: geoModeGrid, DCs: 2, RTT: rtt, Level: "EACH_QUORUM", PerDC: anchor}); m != nil {
 			eqMeans = append(eqMeans, m.WriteMean)
 		}
-		if m := r.find(geoModeGrid, 2, rtt, "LOCAL_QUORUM", anchor); m != nil {
+		if m := lookup(r, CellResult{Mode: geoModeGrid, DCs: 2, RTT: rtt, Level: "LOCAL_QUORUM", PerDC: anchor}); m != nil {
 			lqMeans = append(lqMeans, m.WriteMean)
 		}
 	}
@@ -440,9 +239,9 @@ func CheckGeo(o Options, r GeoResults) []Finding {
 	// LOCAL_QUORUM read set (zero stale), LOCAL_QUORUM leaks stale reads
 	// in remote DCs until the async forward lands, and ONE adds a
 	// coordinator-DC window on top.
-	one := r.find(geoModeGrid, 2, geoAnchorRTT, "ONE", anchor)
-	lq := r.find(geoModeGrid, 2, geoAnchorRTT, "LOCAL_QUORUM", anchor)
-	eq := r.find(geoModeGrid, 2, geoAnchorRTT, "EACH_QUORUM", anchor)
+	one := lookup(r, CellResult{Mode: geoModeGrid, DCs: 2, RTT: geoAnchorRTT, Level: "ONE", PerDC: anchor})
+	lq := lookup(r, CellResult{Mode: geoModeGrid, DCs: 2, RTT: geoAnchorRTT, Level: "LOCAL_QUORUM", PerDC: anchor})
+	eq := lookup(r, CellResult{Mode: geoModeGrid, DCs: 2, RTT: geoAnchorRTT, Level: "EACH_QUORUM", PerDC: anchor})
 	if one != nil && lq != nil && eq != nil {
 		oneS, lqS, eqS := one.Consistency.StaleFraction(), lq.Consistency.StaleFraction(), eq.Consistency.StaleFraction()
 		fs = append(fs, Finding{
@@ -456,8 +255,8 @@ func CheckGeo(o Options, r GeoResults) []Finding {
 
 	// FG3: the adaptive client keeps write p99 under the SLA deadline
 	// where fixed EACH_QUORUM misses it — at a quantified staleness cost.
-	fixed := r.find(geoModeFixed, 2, geoAnchorRTT, "EACH_QUORUM", anchor)
-	adaptive := r.find(geoModeAdaptive, 2, geoAnchorRTT, "adaptive", anchor)
+	fixed := lookup(r, CellResult{Mode: geoModeFixed, DCs: 2, RTT: geoAnchorRTT, Level: "EACH_QUORUM", PerDC: anchor})
+	adaptive := lookup(r, CellResult{Mode: geoModeAdaptive, DCs: 2, RTT: geoAnchorRTT, Level: "adaptive", PerDC: anchor})
 	if fixed != nil && adaptive != nil {
 		pass := fixed.WriteP99 > geoSLADeadline && adaptive.WriteP99 <= geoSLADeadline &&
 			adaptive.Adaptive != nil && adaptive.Adaptive.StepDowns >= 1 && adaptive.Adaptive.OpsPerStage[0] > 0
@@ -477,8 +276,8 @@ func CheckGeo(o Options, r GeoResults) []Finding {
 
 	// FG4: under a DC partition, LOCAL_QUORUM stays available while
 	// EACH_QUORUM fails writes until the link heals.
-	eqF := r.find(geoModeFault, 2, geoAnchorRTT, "EACH_QUORUM", anchor)
-	lqF := r.find(geoModeFault, 2, geoAnchorRTT, "LOCAL_QUORUM", anchor)
+	eqF := lookup(r, CellResult{Mode: geoModeFault, DCs: 2, RTT: geoAnchorRTT, Level: "EACH_QUORUM", PerDC: anchor, Fault: true})
+	lqF := lookup(r, CellResult{Mode: geoModeFault, DCs: 2, RTT: geoAnchorRTT, Level: "LOCAL_QUORUM", PerDC: anchor, Fault: true})
 	if eqF != nil && lqF != nil {
 		fs = append(fs, Finding{
 			ID:    "FG4",

@@ -143,14 +143,6 @@ type Options struct {
 	// (fastest) interval anchors the cross-backend comparison cells; the
 	// rest extend the interval sweep and the fault cells.
 	SpectrumReplIntervals []time.Duration
-
-	// MutationStageDelay is Cassandra's per-mutation replica-stage
-	// scheduling jitter (cassandra.Config.MutationStageMeanDelay). The
-	// performance experiments leave it zero — the fan-out then delivers
-	// strictly FIFO and CL=ONE reads can never overtake a pending apply —
-	// and the consistency audit sets it, because that per-message
-	// reordering is the real-world CL=ONE visibility window it measures.
-	MutationStageDelay time.Duration
 }
 
 // QuickOptions returns a scale suitable for tests and `go test -bench`:
@@ -248,9 +240,7 @@ func PaperOptions() Options {
 
 // Levels returns the Fig. 3 consistency configurations in paper order:
 // ONE, QUORUM, and "write ALL" (write ALL / read ONE, §2).
-func Levels() []ConsistencySetting { return levels() }
-
-func levels() []ConsistencySetting {
+func Levels() []ConsistencySetting {
 	return []ConsistencySetting{
 		{Name: "ONE", Read: kv.One, Write: kv.One},
 		{Name: "QUORUM", Read: kv.Quorum, Write: kv.Quorum},

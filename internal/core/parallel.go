@@ -19,7 +19,8 @@ import (
 // reassembled in canonical sweep order regardless of completion order.
 //
 // runCells is the single entry point; RunFig1/RunFig2/RunFig3, the
-// ablations, and RunSLASearch all submit their cells through it.
+// ablations, RunSLASearch, and the instrumented grids (through runGrid)
+// all submit their cells through it.
 
 // workers resolves the effective worker-pool size: Options.Parallelism when
 // set, otherwise one worker per available CPU.

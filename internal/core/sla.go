@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"cloudbench/internal/kv"
 	"cloudbench/internal/sim"
 	"cloudbench/internal/stats"
 	"cloudbench/internal/ycsb"
@@ -122,12 +121,7 @@ func RunSLASearch(o Options, db string, rf int, specFn func(int64) ycsb.Spec, sl
 // the workload once at the given offered load — one probe cell.
 func runSLAProbe(o Options, db string, rf int, specFn func(int64) ycsb.Spec, target float64) (ycsb.Result, error) {
 	spec := specFn(o.StressRecords)
-	var d *deployment
-	if db == "HBase" {
-		d = deployHBase(o, rf, spec)
-	} else {
-		d = deployCassandra(o, rf, kv.One, kv.One)
-	}
+	d := deploy(o, cell{db: db, level: Levels()[0], rf: rf, spec: spec})
 	var out ycsb.Result
 	err := d.drive(func(p *sim.Proc) {
 		w := ycsb.NewWorkload(spec)

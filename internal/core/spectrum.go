@@ -6,7 +6,6 @@ import (
 
 	"cloudbench/internal/consistency"
 	"cloudbench/internal/objstore"
-	"cloudbench/internal/sim"
 	"cloudbench/internal/stats"
 	"cloudbench/internal/ycsb"
 )
@@ -51,87 +50,48 @@ import (
 // carried by the anti-entropy pass.
 const spectrumFaultDowntime = time.Second
 
-// SpectrumResult is one cell of the replication-spectrum grid.
-type SpectrumResult struct {
-	DB       string
-	Workload string
-	Level    string // consistency setting or objstore read policy
-	RF       int
-	// ReplInterval is the object store's anti-entropy period (zero for the
-	// other backends).
-	ReplInterval time.Duration
-	Fault        bool
-
-	Runtime  float64 // measured run-phase throughput, ops/s
-	Mean     time.Duration
-	ReadP99  time.Duration
-	WriteP99 time.Duration
-
-	Consistency consistency.Report
-}
-
-// SpectrumResults collects the full spectrum grid.
-type SpectrumResults []SpectrumResult
-
-// spectrumCell is one grid point to run.
-type spectrumCell struct {
-	db       string
-	lv       ConsistencySetting // Cassandra cells
-	mode     objstore.ReadMode  // object-store cells
-	rf       int
-	interval time.Duration // object-store cells
-	spec     ycsb.Spec
-	fault    bool
-}
-
-// spectrumAnchorRF picks the replication factor for the cross-backend
-// comparison cells: the paper's recommended 3 when swept, otherwise the
-// largest swept factor.
-func spectrumAnchorRF(o Options) int {
-	for _, f := range o.ReplicationFactors {
-		if f == 3 {
-			return 3
-		}
-	}
-	return o.ReplicationFactors[len(o.ReplicationFactors)-1]
-}
+// SpectrumResults collects the full spectrum grid, one CellResult per cell.
+type SpectrumResults []CellResult
 
 // spectrumCells enumerates the canonical order: workload-major; per
 // workload the anchor-RF backend comparison (HBase, the three Cassandra
 // levels, objstore read-quorum), then the object store's RF sweep at the
 // fastest anti-entropy interval and its interval sweep at the anchor RF;
-// finally one fault-injected object-store cell per interval.
-func spectrumCells(o Options) []spectrumCell {
-	anchor := spectrumAnchorRF(o)
+// finally one fault-injected object-store cell per interval, which holds
+// a failed server down past the async retry budget.
+func spectrumCells(o Options) []cell {
+	anchor := anchorRF(o)
 	ivals := o.SpectrumReplIntervals
 	fastest := ivals[0]
-	var cells []spectrumCell
+	var cells []cell
 	for _, spec := range auditSpecs(o) {
-		cells = append(cells, spectrumCell{db: "HBase", lv: ConsistencySetting{Name: "strong"}, rf: anchor, spec: spec})
-		for _, lv := range levels() {
-			cells = append(cells, spectrumCell{db: "Cassandra", lv: lv, rf: anchor, spec: spec})
+		cells = append(cells, stressCell(o, "HBase", ConsistencySetting{Name: "strong"}, anchor, spec))
+		for _, lv := range Levels() {
+			cells = append(cells, stressCell(o, "Cassandra", lv, anchor, spec))
 		}
-		cells = append(cells, spectrumCell{
-			db: "ObjStore", mode: objstore.ReadQuorumFresh, rf: anchor, interval: fastest, spec: spec,
-		})
+		cells = append(cells, objstoreCell(o, objstore.ReadQuorumFresh, anchor, fastest, spec))
 		for _, rf := range o.ReplicationFactors {
-			cells = append(cells, spectrumCell{
-				db: "ObjStore", mode: objstore.ReadOne, rf: rf, interval: fastest, spec: spec,
-			})
+			cells = append(cells, objstoreCell(o, objstore.ReadOne, rf, fastest, spec))
 		}
 		for _, iv := range ivals[1:] {
-			cells = append(cells, spectrumCell{
-				db: "ObjStore", mode: objstore.ReadOne, rf: anchor, interval: iv, spec: spec,
-			})
+			cells = append(cells, objstoreCell(o, objstore.ReadOne, anchor, iv, spec))
 		}
 	}
 	for _, iv := range ivals {
-		cells = append(cells, spectrumCell{
-			db: "ObjStore", mode: objstore.ReadOne, rf: anchor, interval: iv,
-			spec: ycsb.ReadUpdate(o.StressRecords), fault: true,
-		})
+		c := objstoreCell(o, objstore.ReadOne, anchor, iv, ycsb.ReadUpdate(o.StressRecords))
+		c.fault = failHold
+		cells = append(cells, c)
 	}
 	return cells
+}
+
+// objstoreCell is one object-store spectrum cell: the oracle runs under
+// AckAsync semantics and the cell is labelled by its read policy
+// ("async/read-one").
+func objstoreCell(o Options, mode objstore.ReadMode, rf int, interval time.Duration, spec ycsb.Spec) cell {
+	c := stressCell(o, "ObjStore", ConsistencySetting{Name: "async/" + mode.String()}, rf, spec)
+	c.mode, c.interval, c.ack = mode, interval, consistency.AckAsync
+	return c
 }
 
 // RunSpectrum runs the replication-spectrum grid. Each cell is a
@@ -139,149 +99,7 @@ func spectrumCells(o Options) []spectrumCell {
 // sweep scheduler; like every experiment the report is bit-identical for
 // any parallelism.
 func RunSpectrum(o Options) (SpectrumResults, error) {
-	cells := spectrumCells(o)
-	return runCells(o.workers(), len(cells), func(i int) (SpectrumResult, error) {
-		res, err := runSpectrumCell(o, cells[i])
-		if err != nil {
-			return res, fmt.Errorf("spectrum %s/%s/rf%d: %w", cells[i].db, cells[i].level(), cells[i].rf, err)
-		}
-		return res, nil
-	})
-}
-
-// level names the cell's consistency setting for reports.
-func (c spectrumCell) level() string {
-	if c.db == "ObjStore" {
-		return "async/" + c.mode.String()
-	}
-	return c.lv.Name
-}
-
-// tailOf returns h's p99, or zero for an absent/empty histogram.
-func tailOf(h *stats.Histogram) time.Duration {
-	if h == nil || h.Count() == 0 {
-		return 0
-	}
-	return h.Percentile(99)
-}
-
-// writeHistogram picks the run's mutation histogram: updates for the
-// read&update mix, inserts for read-latest.
-func writeHistogram(res *ycsb.Result) *stats.Histogram {
-	upd, ins := res.PerOp[ycsb.OpUpdate], res.PerOp[ycsb.OpInsert]
-	if upd != nil && (ins == nil || upd.Count() >= ins.Count()) {
-		return upd
-	}
-	return ins
-}
-
-// runSpectrumCell deploys one backend, attaches an oracle (AckAsync for
-// the object store), loads, runs the workload (optionally failing and
-// recovering a server mid-run), lets replication settle, and snapshots
-// the report.
-func runSpectrumCell(o Options, c spectrumCell) (SpectrumResult, error) {
-	var d *deployment
-	switch c.db {
-	case "HBase":
-		d = deployHBase(o, c.rf, c.spec)
-	case "Cassandra":
-		oc := o
-		oc.MutationStageDelay = auditMutationStage
-		d = deployCassandra(oc, c.rf, c.lv.Read, c.lv.Write)
-	default:
-		d = deployObjstore(o, c.rf, c.interval, c.mode)
-	}
-	oracle := consistency.New()
-	switch {
-	case d.hb != nil:
-		d.hb.SetOracle(oracle)
-	case d.ca != nil:
-		d.ca.SetOracle(oracle)
-	default:
-		if oracle != nil {
-			oracle.SetAckSemantics(consistency.AckAsync)
-		}
-		d.obj.SetOracle(oracle)
-	}
-	out := SpectrumResult{
-		DB: c.db, Workload: c.spec.Name, Level: c.level(),
-		RF: c.rf, ReplInterval: c.interval, Fault: c.fault,
-	}
-	err := d.drive(func(p *sim.Proc) {
-		w := ycsb.NewWorkload(c.spec)
-		d.loadAndSettle(p, w, o.Threads)
-		rcfg := ycsb.RunConfig{
-			Threads:        o.Threads,
-			Ops:            o.StressOps,
-			WarmupFraction: o.WarmupFraction,
-			Oracle:         oracle,
-		}
-		if c.fault {
-			// Fail one server a quarter into the run and hold it down for a
-			// fixed wall of simulated time. Op-based recovery (the audit's
-			// scheme) would shrink the outage below the async retry budget
-			// at small scales, and the spillover-then-updater path — the
-			// mechanism whose interval dependence FS3 measures — needs the
-			// target to stay down past the retries.
-			victim := d.clus.Nodes[o.ServerNodes/2]
-			rcfg.Events = []ycsb.RunEvent{
-				{AfterOps: o.StressOps / 4, Fn: func() {
-					victim.Fail()
-					d.k.Go("spectrum-recover", func(q *sim.Proc) {
-						q.Sleep(spectrumFaultDowntime)
-						victim.Recover()
-					})
-				}},
-			}
-		}
-		run := c.spec
-		run.RecordCount = w.Inserted()
-		wl := ycsb.NewWorkload(run)
-		res := ycsb.Run(p, d.newClient, wl, rcfg)
-		out.Runtime = res.Throughput
-		out.Mean = res.MeanLatency()
-		out.ReadP99 = tailOf(res.PerOp[ycsb.OpRead])
-		out.WriteP99 = tailOf(writeHistogram(&res))
-		// Settle long enough for at least two anti-entropy passes (the
-		// object store's convergence is interval-bounded) and, under
-		// fault injection, for the post-recovery catch-up to finish.
-		settle := quiesce
-		if 2*c.interval > settle {
-			settle = 2 * c.interval
-		}
-		if c.fault && settle < auditFaultSettle {
-			settle = auditFaultSettle
-		}
-		p.Sleep(settle)
-	})
-	if oracle != nil {
-		out.Consistency = oracle.Report()
-	}
-	return out, err
-}
-
-// get returns the healthy cell for (db, workload, level, rf, interval), or
-// nil. A zero interval matches any (the non-objstore backends).
-func (r SpectrumResults) get(db, workload, level string, rf int, interval time.Duration) *SpectrumResult {
-	for i := range r {
-		m := &r[i]
-		if m.DB == db && m.Workload == workload && m.Level == level && m.RF == rf && !m.Fault &&
-			(interval == 0 || m.ReplInterval == interval) {
-			return m
-		}
-	}
-	return nil
-}
-
-// faults returns the fault-injected cells in interval order.
-func (r SpectrumResults) faults() []*SpectrumResult {
-	var out []*SpectrumResult
-	for i := range r {
-		if r[i].Fault {
-			out = append(out, &r[i])
-		}
-	}
-	return out
+	return runGrid(o, "spectrum", spectrumCells(o))
 }
 
 // Table renders the spectrum as one row per cell.
@@ -311,7 +129,7 @@ func (r SpectrumResults) Table() *stats.Table {
 
 // CheckSpectrum evaluates the spectrum's qualitative claims.
 func CheckSpectrum(o Options, r SpectrumResults) []Finding {
-	anchor := spectrumAnchorRF(o)
+	anchor := anchorRF(o)
 	fastest := o.SpectrumReplIntervals[0]
 	var fs []Finding
 
@@ -328,8 +146,8 @@ func CheckSpectrum(o Options, r SpectrumResults) []Finding {
 	pass1, detail1 := true, ""
 	{
 		spec := ycsb.ReadUpdate(o.StressRecords)
-		obj := r.get("ObjStore", spec.Name, "async/read-one", anchor, fastest)
-		one := r.get("Cassandra", spec.Name, "ONE", anchor, 0)
+		obj := lookup(r, CellResult{DB: "ObjStore", Workload: spec.Name, Level: "async/read-one", RF: anchor, ReplInterval: fastest})
+		one := lookup(r, CellResult{DB: "Cassandra", Workload: spec.Name, Level: "ONE", RF: anchor})
 		if obj == nil || one == nil {
 			pass1 = false
 		} else {
@@ -356,9 +174,9 @@ func CheckSpectrum(o Options, r SpectrumResults) []Finding {
 	// (within noise) while TVisAll keeps growing with the replica count.
 	pass2, detail2 := true, ""
 	for _, spec := range auditSpecs(o) {
-		var cells []*SpectrumResult
+		var cells []*CellResult
 		for _, rf := range o.ReplicationFactors {
-			if m := r.get("ObjStore", spec.Name, "async/read-one", rf, fastest); m != nil {
+			if m := lookup(r, CellResult{DB: "ObjStore", Workload: spec.Name, Level: "async/read-one", RF: rf, ReplInterval: fastest}); m != nil {
 				cells = append(cells, m)
 			}
 		}
@@ -394,7 +212,13 @@ func CheckSpectrum(o Options, r SpectrumResults) []Finding {
 	// so the time for the recovered replica to see the down-window writes
 	// (the all-replica visibility tail) grows with the interval.
 	pass3, detail3 := true, ""
-	if f := r.faults(); len(f) >= 2 {
+	var f []*CellResult
+	for i := range r {
+		if r[i].Fault {
+			f = append(f, &r[i])
+		}
+	}
+	if len(f) >= 2 {
 		for i := 1; i < len(f); i++ {
 			if f[i].Consistency.TVisAllP99 <= f[i-1].Consistency.TVisAllP99 {
 				pass3 = false
@@ -420,8 +244,8 @@ func CheckSpectrum(o Options, r SpectrumResults) []Finding {
 	// at most read-one's, at a higher read tail.
 	pass4, detail4 := true, ""
 	for _, spec := range auditSpecs(o) {
-		one := r.get("ObjStore", spec.Name, "async/read-one", anchor, fastest)
-		q := r.get("ObjStore", spec.Name, "async/read-quorum", anchor, fastest)
+		one := lookup(r, CellResult{DB: "ObjStore", Workload: spec.Name, Level: "async/read-one", RF: anchor, ReplInterval: fastest})
+		q := lookup(r, CellResult{DB: "ObjStore", Workload: spec.Name, Level: "async/read-quorum", RF: anchor, ReplInterval: fastest})
 		if one == nil || q == nil {
 			pass4 = false
 			continue

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudbench/internal/consistency"
 	"cloudbench/internal/objstore"
 )
 
@@ -23,7 +24,7 @@ func TestSpectrumCellsCanonicalOrder(t *testing.T) {
 		t.Fatalf("first cell = %s/%s, want HBase/read-latest", cells[0].db, cells[0].spec.Name)
 	}
 	last := cells[len(cells)-1]
-	if !last.fault || last.db != "ObjStore" ||
+	if last.fault != failHold || last.db != "ObjStore" ||
 		last.interval != o.SpectrumReplIntervals[len(o.SpectrumReplIntervals)-1] {
 		t.Fatalf("last cell = %+v, want the slowest-interval fault cell", last)
 	}
@@ -31,7 +32,10 @@ func TestSpectrumCellsCanonicalOrder(t *testing.T) {
 		if c.db == "ObjStore" && c.interval == 0 {
 			t.Fatalf("objstore cell without interval: %+v", c)
 		}
-		if c.fault && (c.spec.Name != "read-update" || c.mode != objstore.ReadOne) {
+		if c.db == "ObjStore" && c.ack != consistency.AckAsync {
+			t.Fatalf("objstore cell without AckAsync oracle: %+v", c)
+		}
+		if c.fault != noFault && (c.fault != failHold || c.spec.Name != "read-update" || c.mode != objstore.ReadOne) {
 			t.Fatalf("fault cell = %+v, want read-update/read-one", c)
 		}
 	}
@@ -74,10 +78,7 @@ func TestSpectrumSmoke(t *testing.T) {
 // monotonicity violations.
 func TestSpectrumObjstoreAsyncAccounting(t *testing.T) {
 	o := SmokeOptions()
-	res, err := runSpectrumCell(o, spectrumCell{
-		db: "ObjStore", mode: objstore.ReadOne, rf: 3,
-		interval: 500 * time.Millisecond, spec: auditSpecs(o)[0],
-	})
+	res, err := runCell(o, objstoreCell(o, objstore.ReadOne, 3, 500*time.Millisecond, auditSpecs(o)[0]))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"cloudbench/internal/sim"
 	"cloudbench/internal/stats"
 	"cloudbench/internal/trace"
 	"cloudbench/internal/ycsb"
@@ -36,39 +35,40 @@ import (
 // Shares are phase time over summed root latency; phases that overlap or
 // run concurrently (fan-out legs, background repair) can sum past 100%.
 
-// TraceResult is one cell of the trace breakdown: one database, one
-// consistency setting, one replication factor, with the tracer's per-class
-// per-phase decomposition attached.
-type TraceResult struct {
-	DB    string
-	Level string
-	RF    int
+// TraceResults collects the full grid, one CellResult per cell with the
+// tracer's per-class per-phase decomposition attached.
+type TraceResults []CellResult
 
-	Runtime float64 // measured run-phase throughput, ops/s
-	Mean    time.Duration
-	Trace   trace.Report
-}
-
-// TraceResults collects the full grid.
-type TraceResults []TraceResult
-
-// traceCell is one grid point to run.
-type traceCell struct {
-	db string
-	lv ConsistencySetting
-	rf int
+// traceCell is one trace grid point under the read&update stress workload.
+//
+// The decomposition is after the *structural* phase costs — how the
+// request paths differ by database, consistency level, and replication
+// factor. JVM pauses are additive noise on every phase and, at small
+// profile scales, whether a 30 ms pause lands on a measured op moves a
+// class's summed latency (every share's denominator) by more than the
+// effects under study. Trace cells therefore run with GC off; the latency
+// experiments keep it on (and stay bit-identical). The run uses the micro
+// benchmark's unsaturated client shape (§4.1): at full stress concurrency,
+// queue waits inside composite repair spans grow with cluster load, not
+// with the replication factor, and drown the structural shares.
+func traceCell(o Options, db string, lv ConsistencySetting, rf int) cell {
+	return cell{
+		db: db, level: lv, rf: rf, spec: ycsb.ReadUpdate(o.StressRecords),
+		loadThreads: o.Threads, threads: o.MicroThreads, ops: o.StressOps,
+		noGC: true, trace: true,
+	}
 }
 
 // traceCells enumerates the canonical order: the HBase control sweep
 // first, then Cassandra level-major with RF ascending.
-func traceCells(o Options) []traceCell {
-	var cells []traceCell
+func traceCells(o Options) []cell {
+	var cells []cell
 	for _, rf := range o.ReplicationFactors {
-		cells = append(cells, traceCell{db: "HBase", lv: ConsistencySetting{Name: "strong"}, rf: rf})
+		cells = append(cells, traceCell(o, "HBase", ConsistencySetting{Name: "strong"}, rf))
 	}
-	for _, lv := range levels() {
+	for _, lv := range Levels() {
 		for _, rf := range o.ReplicationFactors {
-			cells = append(cells, traceCell{db: "Cassandra", lv: lv, rf: rf})
+			cells = append(cells, traceCell(o, "Cassandra", lv, rf))
 		}
 	}
 	return cells
@@ -79,14 +79,7 @@ func traceCells(o Options) []traceCell {
 // span IDs come from per-proc seeded RNGs, so the report — and the raw
 // span stream — is bit-identical for any parallelism.
 func RunTraceBreakdown(o Options) (TraceResults, error) {
-	cells := traceCells(o)
-	return runCells(o.workers(), len(cells), func(i int) (TraceResult, error) {
-		res, _, err := runTraceCell(o, cells[i], 0)
-		if err != nil {
-			return res, fmt.Errorf("tracebreak %s/%s/rf%d: %w", cells[i].db, cells[i].lv.Name, cells[i].rf, err)
-		}
-		return res, nil
-	})
+	return runGrid(o, "tracebreak", traceCells(o))
 }
 
 // TraceSpanKeep bounds raw span retention for exports: enough for several
@@ -96,84 +89,16 @@ const TraceSpanKeep = 200_000
 // RunTraceSpans runs the one span-retaining cell — Cassandra at CL=ONE and
 // the largest swept replication factor, the cell with the richest phase
 // mix — and returns its result plus up to keep raw spans for export.
-func RunTraceSpans(o Options, keep int) (TraceResult, []trace.Span, error) {
-	rf := o.ReplicationFactors[len(o.ReplicationFactors)-1]
-	return runTraceCell(o, traceCell{db: "Cassandra", lv: levels()[0], rf: rf}, keep)
-}
-
-// runTraceCell deploys one database with a tracer attached, loads, runs
-// the stress workload with per-op root spans, lets background repair
-// settle, and snapshots the tracer's report.
-func runTraceCell(o Options, c traceCell, keep int) (TraceResult, []trace.Span, error) {
-	// The decomposition is after the *structural* phase costs — how the
-	// request paths differ by database, consistency level, and replication
-	// factor. JVM pauses are additive noise on every phase and, at small
-	// profile scales, whether a 30 ms pause lands on a measured op moves a
-	// class's summed latency (every share's denominator) by more than the
-	// effects under study. Trace cells therefore run with GC off; the
-	// latency experiments keep it on (and stay bit-identical).
-	o.EnableGC = false
-	spec := ycsb.ReadUpdate(o.StressRecords)
-	var d *deployment
-	if c.db == "HBase" {
-		d = deployHBase(o, c.rf, spec)
-	} else {
-		d = deployCassandra(o, c.rf, c.lv.Read, c.lv.Write)
-	}
-	tr := trace.New()
-	if tr != nil && keep > 0 {
-		tr.KeepSpans(keep)
-	}
-	if d.hb != nil {
-		d.hb.SetTracer(tr)
-	} else {
-		d.ca.SetTracer(tr)
-	}
-	out := TraceResult{DB: c.db, Level: c.lv.Name, RF: c.rf}
-	err := d.drive(func(p *sim.Proc) {
-		w := ycsb.NewWorkload(spec)
-		d.loadAndSettle(p, w, o.Threads)
-		run := spec
-		run.RecordCount = w.Inserted()
-		wl := ycsb.NewWorkload(run)
-		// The micro benchmark's unsaturated client shape (§4.1): at full
-		// stress concurrency, queue waits inside composite repair spans
-		// grow with cluster load, not with the replication factor, and
-		// drown the structural shares the decomposition is after.
-		res := ycsb.Run(p, d.newClient, wl, ycsb.RunConfig{
-			Threads:        o.MicroThreads,
-			Ops:            o.StressOps,
-			WarmupFraction: o.WarmupFraction,
-			Tracer:         tr,
-		})
-		out.Runtime = res.Throughput
-		out.Mean = res.MeanLatency()
-		// Background repair spawned by measured reads is still attributed
-		// to them; let it drain before snapshotting.
-		p.Sleep(quiesce)
-	})
-	var spans []trace.Span
-	if tr != nil {
-		out.Trace = tr.Report()
-		spans = tr.Spans()
-	}
-	return out, spans, err
-}
-
-// get returns the cell for (db, level, rf), or nil.
-func (r TraceResults) get(db, level string, rf int) *TraceResult {
-	for i := range r {
-		m := &r[i]
-		if m.DB == db && m.Level == level && m.RF == rf {
-			return m
-		}
-	}
-	return nil
+func RunTraceSpans(o Options, keep int) (CellResult, []trace.Span, error) {
+	c := traceCell(o, "Cassandra", Levels()[0], o.ReplicationFactors[len(o.ReplicationFactors)-1])
+	c.keepSpans = keep
+	res, err := runCell(o, c)
+	return res, res.spans, err
 }
 
 // phaseShare returns the share of the named phase within the named class
 // of the cell, 0 when the phase recorded nothing.
-func (m *TraceResult) phaseShare(class, phase string) float64 {
+func (m *CellResult) phaseShare(class, phase string) float64 {
 	cs := m.Trace.Class(class)
 	if cs == nil {
 		return 0

@@ -53,7 +53,7 @@ func TestTraceBreakdownSmoke(t *testing.T) {
 func synthTrace(rfs []int, repairShares []float64) TraceResults {
 	var res TraceResults
 	for _, rf := range rfs {
-		res = append(res, TraceResult{DB: "HBase", Level: "strong", RF: rf, Runtime: 1,
+		res = append(res, CellResult{DB: "HBase", Level: "strong", RF: rf, Runtime: 1,
 			Trace: trace.Report{Classes: []trace.ClassStat{
 				{Class: "read", Ops: 100, Total: time.Second, Phases: []trace.PhaseStat{
 					{Phase: "storage", Count: 100, Total: time.Second / 2, Share: 0.5},
@@ -64,7 +64,7 @@ func synthTrace(rfs []int, repairShares []float64) TraceResults {
 			}}})
 	}
 	for i, rf := range rfs {
-		res = append(res, TraceResult{DB: "Cassandra", Level: "ONE", RF: rf, Runtime: 1,
+		res = append(res, CellResult{DB: "Cassandra", Level: "ONE", RF: rf, Runtime: 1,
 			Trace: trace.Report{Classes: []trace.ClassStat{
 				{Class: "read", Ops: 100, Total: time.Second, Phases: []trace.PhaseStat{
 					{Phase: "fanout", Count: 200, Total: time.Second / 5, Share: 0.2},
